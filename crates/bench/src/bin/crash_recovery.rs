@@ -1056,9 +1056,6 @@ fn run_serve_child(dir: &Path) -> ! {
     };
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        // Low enough that bursts exercise OVERLOADED sheds, high enough
-        // that the retrying client always gets through.
-        admission_high_water: 8,
         ..ServeConfig::default()
     };
     let server = match Server::spawn(cfg, rt) {
@@ -1215,7 +1212,6 @@ fn net_trial_body(
         // connections surface as timeouts, not hangs.
         read_timeout: Duration::from_millis(250),
         max_reconnects: 100_000,
-        retry_sheds: true,
         jitter_seed: trial_seed,
     };
     let mut client = ResilientClient::new(proxy.addr().to_string(), trial_seed | 1, retry);

@@ -147,7 +147,7 @@ impl<F: Filter, S: UpdateEstimate> ASketch<F, S> {
     ///   time from the next tuple — preserving the at-most-one-exchange-
     ///   per-overflow policy exactly.
     /// * **Prefetch pipelining** — each run's sketch rows are primed
-    ///   [`PRIME_CHUNK`] keys ahead of the update loop, overlapping their
+    ///   `PRIME_CHUNK` keys ahead of the update loop, overlapping their
     ///   DRAM latency. Only miss-run keys are primed: filter-hit tuples
     ///   never touch the sketch, so prefetching for them would be wasted
     ///   bandwidth (and at high skew, hits dominate).

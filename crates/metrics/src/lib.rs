@@ -18,6 +18,6 @@ pub use error::{
     EstimatePair, Misclassification,
 };
 pub use runtime::{ShardGauge, ShardedHealth, StorageFault};
-pub use serving::{ConnectionGauge, ReactorGauge, ServerGauge};
+pub use serving::{ReactorGauge, ServerGauge};
 pub use table::{fnum, Table};
 pub use throughput::{Stopwatch, Throughput};

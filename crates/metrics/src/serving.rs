@@ -1,4 +1,4 @@
-//! Serving-layer gauges: per-connection and whole-server counters for the
+//! Serving-layer gauges: per-reactor and whole-server counters for the
 //! network front door (`asketch-serve`), in the same serializable gauge
 //! style as [`crate::runtime`] so the load generator, CI gates, and
 //! operator tooling consume one shape.
@@ -6,23 +6,6 @@
 //! The live counters themselves are atomics owned by the server; these
 //! types are the point-in-time snapshot a HEALTH frame or artifact row
 //! carries.
-
-/// Point-in-time counters for one client connection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConnectionGauge {
-    /// Request frames decoded on this connection.
-    pub frames_in: u64,
-    /// Response frames written on this connection (error frames included).
-    pub frames_out: u64,
-    /// Keys ingested through UPDATE/UPDATE_BATCH frames.
-    pub updates: u64,
-    /// Point estimates served (ESTIMATE plus ESTIMATE_BATCH elements).
-    pub estimates: u64,
-    /// Write frames answered `OVERLOADED` by admission control.
-    pub shed: u64,
-    /// Malformed or unknown frames answered with an error frame.
-    pub protocol_errors: u64,
-}
 
 /// Point-in-time I/O counters for one reactor thread of the event-driven
 /// serving data plane. The owning list is empty for a runtime that is
@@ -95,22 +78,20 @@ fn ratio(num: u64, den: u64) -> f64 {
 pub struct ServerGauge {
     /// Connections accepted over the server's lifetime.
     pub connections_accepted: u64,
-    /// Connections currently open.
+    /// Connections currently open: the sum of the reactors'
+    /// [`ReactorGauge::connections`].
     pub connections_active: u64,
-    /// Request frames decoded across all connections.
+    /// Request frames decoded across all connections: the sum of the
+    /// reactors' [`ReactorGauge::frames_in`].
     pub frames_in: u64,
     /// Response frames written across all connections.
     pub frames_out: u64,
-    /// Keys ingested through UPDATE/UPDATE_BATCH frames.
+    /// Keys ingested through UPDATE_BATCH and UPDATE_BATCH_SEQ frames.
     pub updates_ingested: u64,
     /// Point estimates served (ESTIMATE plus ESTIMATE_BATCH elements).
     pub estimates_served: u64,
     /// TOPK requests served.
     pub topk_served: u64,
-    /// Write frames shed with an `OVERLOADED` error frame by admission
-    /// control (`admission_high_water`); always 0 with admission off
-    /// (the default), and the CI gate asserts exactly that.
-    pub updates_shed: u64,
     /// Malformed or unknown frames answered with an error frame (the
     /// connection survives; only framing-level damage closes it).
     pub protocol_errors: u64,
@@ -126,46 +107,9 @@ pub struct ServerGauge {
     pub reader_blocked: u64,
 }
 
-impl ServerGauge {
-    /// Fold one connection's final counters into the server totals.
-    pub fn absorb(&mut self, conn: &ConnectionGauge) {
-        self.frames_in += conn.frames_in;
-        self.frames_out += conn.frames_out;
-        self.updates_ingested += conn.updates;
-        self.estimates_served += conn.estimates;
-        self.updates_shed += conn.shed;
-        self.protocol_errors += conn.protocol_errors;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_folds_connection_counters_into_totals() {
-        let mut server = ServerGauge {
-            connections_accepted: 2,
-            frames_in: 10,
-            ..ServerGauge::default()
-        };
-        let conn = ConnectionGauge {
-            frames_in: 5,
-            frames_out: 5,
-            updates: 3,
-            estimates: 2,
-            shed: 1,
-            protocol_errors: 1,
-        };
-        server.absorb(&conn);
-        assert_eq!(server.frames_in, 15);
-        assert_eq!(server.frames_out, 5);
-        assert_eq!(server.updates_ingested, 3);
-        assert_eq!(server.estimates_served, 2);
-        assert_eq!(server.updates_shed, 1);
-        assert_eq!(server.protocol_errors, 1);
-        assert_eq!(server.connections_accepted, 2, "absorb never re-counts");
-    }
 
     #[test]
     fn reactor_gauge_derived_ratios() {

@@ -71,10 +71,9 @@ use crate::supervisor::{checkpoint_keys, join_within, Batch, PipelineError, Supe
 /// The runtime has one overload behaviour: a full shard ring blocks the
 /// caller until the worker drains it, each wait bounded by
 /// [`send_timeout`](Self::send_timeout), after which the worker is failed
-/// over. There is no caller-side overflow buffer. Serving layers that
-/// must not block probe the depth first
-/// ([`ConcurrentASketch::try_insert_sessioned`],
-/// [`ConcurrentASketch::max_queue_depth`]).
+/// over. There is no caller-side overflow buffer and no depth probe: a
+/// serving layer in front of the runtime blocks with it, and TCP flow
+/// control pushes back on its writers.
 #[derive(Debug, Clone)]
 pub struct ConcurrentConfig {
     /// Number of worker shards (key partitions).
@@ -458,22 +457,6 @@ where
         }
     }
 
-    /// Whether one more shipped batch stays within `bound` in-flight
-    /// batches on this shard's ring (clamped to the ring's real
-    /// capacity). Degraded shards apply inline — always room.
-    /// No room wakes the worker: the caller is about to shed or wait on
-    /// batches the wake rule may have left queued.
-    fn data_room(&mut self, bound: usize) -> bool {
-        let Some(link) = self.link.as_mut() else {
-            return true;
-        };
-        let room = self.depth.load(Ordering::Relaxed) < bound.min(link.ring_capacity()).max(1);
-        if !room {
-            link.wake_worker();
-        }
-        room
-    }
-
     /// Barrier against this shard: every routed batch applied and published.
     /// Bounded retries — each failed round trip consumes a restart (or ends
     /// degraded, where state is already published inline).
@@ -701,45 +684,6 @@ where
             duplicate: any_nonempty && !shipped,
             degraded: self.durability_degraded(),
         }
-    }
-
-    /// All-or-nothing [`insert_sessioned`](Self::insert_sessioned):
-    /// admission-probe the data plane of every shard that would actually
-    /// receive keys (non-empty and not deduped) and return `None` —
-    /// batches untouched, marks unmoved — when any is backed up past
-    /// `max_depth` in-flight batches. A write the marks fully cover is
-    /// applied as a duplicate regardless of backpressure: dedup is free
-    /// and the client needs the ack.
-    ///
-    /// # Panics
-    /// Same contract as [`insert_sharded`](Self::insert_sharded).
-    pub fn try_insert_sessioned(
-        &mut self,
-        session_id: u64,
-        seq: u64,
-        batches: &mut [Vec<u64>],
-        max_depth: usize,
-    ) -> Option<SessionOutcome> {
-        assert_eq!(batches.len(), self.shards.len(), "one batch slot per shard");
-        let hwms = self.sessions.touch(session_id, batches.len());
-        let room = batches.iter().enumerate().all(|(shard, batch)| {
-            batch.is_empty() || hwms[shard] >= seq || self.shards[shard].data_room(max_depth)
-        });
-        if !room {
-            return None;
-        }
-        Some(self.insert_sessioned(session_id, seq, batches))
-    }
-
-    /// Deepest data-plane queue across shards, in in-flight batches — the
-    /// admission-control signal serving layers compare against their
-    /// high-water mark.
-    pub fn max_queue_depth(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.depth.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Whether any shard has lost durability (disk-sick degraded mode,
@@ -2995,126 +2939,6 @@ mod tests {
         }
         rt2.finish();
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Backpressure refuses fresh writes only: with the worker wedged
-    /// (slow kernel) and a depth bound of 1, a fresh seq is refused with
-    /// its batches untouched, while a fully deduped retry is still acked —
-    /// the client needs the ack and dedup ships nothing.
-    #[test]
-    fn try_insert_sessioned_acks_duplicates_even_when_backed_up() {
-        let cfg = ConcurrentConfig {
-            shards: 1,
-            batch: 4,
-            ..ConcurrentConfig::default()
-        };
-        // Every 4th sketch op sleeps 100 ms: the first 8 keys of seq 1 fill
-        // the filter, the other 12 reach the sketch and wedge the worker
-        // for ~300 ms.
-        let make =
-            |_: usize| faulty_kernel(3, FaultPlan::slow_updates(4, Duration::from_millis(100)));
-        let mut rt = ConcurrentASketch::spawn(cfg, make);
-        let p = rt.partition();
-        let first: Vec<u64> = (0..20).collect();
-        let out = rt.insert_sessioned(5, 1, &mut partitioned(p, &first));
-        assert_eq!(out.applied, first.len());
-        // Seq 2 (filter residents, cheap to apply) queues behind the
-        // wedge, so the ring holds a batch until seq 1 is applied.
-        let second = vec![0u64, 1, 2, 3];
-        let out = rt.insert_sessioned(5, 2, &mut partitioned(p, &second));
-        assert_eq!(out.applied, second.len());
-        let fresh = vec![100u64, 101];
-        let mut batches = partitioned(p, &fresh);
-        assert!(
-            rt.try_insert_sessioned(5, 3, &mut batches, 1).is_none(),
-            "a fresh write must be refused while the worker is backed up"
-        );
-        assert_eq!(
-            batches,
-            partitioned(p, &fresh),
-            "a refused write leaves its batches untouched"
-        );
-        let dup = rt
-            .try_insert_sessioned(5, 1, &mut partitioned(p, &first), 1)
-            .expect("duplicate must be admitted");
-        assert!(dup.duplicate);
-        assert_eq!(dup.applied, 0);
-        assert_eq!(rt.session_count(), 1);
-        rt.finish();
-    }
-
-    /// `try_insert_sessioned` is all-or-nothing: with a slow worker and a
-    /// depth bound of 1, a refused write leaves its batches and the
-    /// session marks untouched. The caller sheds every other refused
-    /// write and retries the rest under the same seq once there is room;
-    /// a retried seq is applied, never flagged duplicate, and the books
-    /// stay exact (total routed == keys accepted).
-    #[test]
-    fn try_insert_sessioned_is_all_or_nothing_under_depth_bound() {
-        let cfg = ConcurrentConfig {
-            shards: 2,
-            batch: 64,
-            publish_interval: 16,
-            view_interval: 64,
-            ..ConcurrentConfig::default()
-        };
-        let make = |i: usize| {
-            faulty_kernel(
-                30 + i as u64,
-                FaultPlan::slow_updates(200, Duration::from_millis(2)),
-            )
-        };
-        let mut rt = ConcurrentASketch::spawn(cfg, make);
-        let p = rt.partition();
-        let (mut accepted, mut refused, mut retried) = (0u64, 0u64, 0u64);
-        for round in 0..200u64 {
-            let seq = round + 1;
-            let keys: Vec<u64> = (0..500).map(|i| round * 1_000 + i).collect();
-            let mut batches = partitioned(p, &keys);
-            let marks = rt.sessions.touch(1, p.shards()).to_vec();
-            let mut attempts = 0u64;
-            let out = loop {
-                if let Some(out) = rt.try_insert_sessioned(1, seq, &mut batches, 1) {
-                    break Some(out);
-                }
-                attempts += 1;
-                assert_eq!(
-                    batches,
-                    partitioned(p, &keys),
-                    "a refused write must leave its batches untouched"
-                );
-                assert_eq!(
-                    rt.sessions.touch(1, p.shards()),
-                    &marks[..],
-                    "a refused write must leave the session marks untouched"
-                );
-                if round % 2 == 0 {
-                    break None; // caller sheds
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            };
-            refused += attempts.min(1);
-            let Some(out) = out else { continue };
-            if attempts > 0 {
-                retried += 1;
-            }
-            assert!(!out.duplicate, "seq {seq} retried after a refusal is new");
-            assert_eq!(out.applied, keys.len());
-            assert!(batches.iter().all(Vec::is_empty), "shipped batches drain");
-            accepted += keys.len() as u64;
-        }
-        rt.sync();
-        assert!(
-            refused > 0 && retried > 0,
-            "the slow worker must back the plane up ({refused} refused, {retried} retried)"
-        );
-        assert_eq!(
-            rt.health().total_routed(),
-            accepted,
-            "books must balance: accepted keys and only accepted keys routed \
-             ({refused} writes refused)"
-        );
-        rt.finish();
     }
 
     mod session_proptests {

@@ -1,7 +1,7 @@
 //! Supervision substrate shared by every supervised worker runtime — the
 //! two §6.2 pipelines and the sharded runtime: typed errors, restart
 //! policy, runtime health, and the one fault-recovery protocol
-//! ([`Supervisor`]) whose checkpoint/replay journal makes worker faults
+//! (`Supervisor`) whose checkpoint/replay journal makes worker faults
 //! *lossless*.
 //!
 //! # Fault model
@@ -11,10 +11,10 @@
 //! that with a checkpoint + journal protocol:
 //!
 //! * every batch shipped to the worker carries a monotonically increasing
-//!   sequence number and is recorded in a caller-side [`Journal`] before
+//!   sequence number and is recorded in a caller-side `Journal` before
 //!   it is sent. The entry is `(seq, batch)`, and the batch is the very
-//!   allocation the ring carries ([`Batch`]), so journaling copies no key;
-//! * every kernel's worth of journal bytes ([`checkpoint_keys`]) the
+//!   allocation the ring carries (`Batch`), so journaling copies no key;
+//! * every kernel's worth of journal bytes (`checkpoint_keys`) the
 //!   worker clones its sketch and sends `(last_applied_seq, snapshot)`
 //!   back on the (never blocking, unbounded) reply channel;
 //! * on receiving a checkpoint the caller prunes journal entries with
@@ -24,7 +24,7 @@
 //! state the worker would have reached had it applied every shipped
 //! batch: batches at or below the checkpoint's sequence number are inside
 //! the snapshot, batches above it are replayed once, whole, through the
-//! kernel's batched update path ([`JournalOp::replay`]). A batch in
+//! kernel's batched update path (`JournalOp::replay`). A batch in
 //! flight when the worker failed is journaled, so the restore covers it
 //! and it is never resent. No update is lost and none is double counted,
 //! so the one-sided estimate guarantee survives every failure mode.

@@ -4,7 +4,6 @@
 //! ```text
 //! serve [--addr HOST:PORT] [--shards N] [--batch N] [--bytes N]
 //!       [--depth N] [--filter-items N] [--seed N] [--reactors N]
-//!       [--verbose]
 //! ```
 //!
 //! Runs until stdin reaches EOF (or a `quit` line), then shuts down
@@ -34,7 +33,6 @@ struct Args {
     filter_items: usize,
     seed: u64,
     reactors: usize,
-    verbose: bool,
 }
 
 impl Default for Args {
@@ -48,7 +46,6 @@ impl Default for Args {
             filter_items: 32,
             seed: 0x5EED_2016,
             reactors: 0,
-            verbose: false,
         }
     }
 }
@@ -67,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
             "--filter-items" => args.filter_items = parse_num(&value("--filter-items")?)?,
             "--seed" => args.seed = parse_num(&value("--seed")?)? as u64,
             "--reactors" => args.reactors = parse_num(&value("--reactors")?)?,
-            "--verbose" => args.verbose = true,
             "--help" | "-h" => return Err("help".to_string()),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -93,7 +89,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: serve [--addr HOST:PORT] [--shards N] [--batch N] \
                  [--bytes N] [--depth N] [--filter-items N] [--seed N] \
-                 [--reactors N] [--verbose]"
+                 [--reactors N]"
             );
             return ExitCode::from(2);
         }
@@ -120,7 +116,6 @@ fn main() -> ExitCode {
 
     let serve_cfg = ServeConfig {
         addr: args.addr.clone(),
-        log_disconnects: args.verbose,
         reactors: args.reactors,
         ..ServeConfig::default()
     };
@@ -169,9 +164,8 @@ fn main() -> ExitCode {
 
     let (_kernels, health, gauge) = server.shutdown();
     println!(
-        "done routed={} shed={} reader_blocked={} degraded={}",
+        "done routed={} reader_blocked={} degraded={}",
         health.total_routed(),
-        gauge.updates_shed,
         gauge.reader_blocked,
         health.degraded_durability_shards()
     );

@@ -115,8 +115,8 @@ impl Client {
     /// Ingest a batch of keys; returns the accepted count.
     ///
     /// # Errors
-    /// Transport failure, or a server error frame (shed batches surface
-    /// as `WriteZero`-kind errors carrying the server's detail string).
+    /// Transport failure or a non-`OK` reply (a server error frame
+    /// surfaces carrying its code and detail).
     pub fn update_batch(&mut self, keys: &[u64]) -> io::Result<u32> {
         match self.call(&Request::UpdateBatch(keys.to_vec()))? {
             Response::Ok(n) => Ok(n),
@@ -168,29 +168,13 @@ impl Client {
         }
     }
 
-    /// Session handshake: announce `session_id` with an applied floor of
-    /// `resume_seq`; returns the sequence the server says it has fully
-    /// applied (safe to resume after).
-    ///
-    /// # Errors
-    /// Transport failure or a non-`HELLO_ACK` reply.
-    pub fn hello(&mut self, session_id: u64, resume_seq: u64) -> io::Result<u64> {
-        match self.call(&Request::Hello {
-            session_id,
-            resume_seq,
-        })? {
-            Response::HelloAck { applied_seq } => Ok(applied_seq),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Sequenced batch ingest (requires a prior [`Client::hello`] on this
+    /// Sequenced batch ingest (requires a prior `HELLO` on this
     /// connection); returns the server's `(applied, duplicate, degraded)`
     /// ack.
     ///
     /// # Errors
-    /// Transport failure or a non-`OK_SEQ` reply (including typed server
-    /// errors such as `OVERLOADED`).
+    /// Transport failure or a non-`OK_SEQ` reply (including a typed
+    /// server error frame).
     pub fn update_batch_seq(&mut self, seq: u64, keys: &[u64]) -> io::Result<(u32, bool, bool)> {
         match self.call(&Request::UpdateBatchSeq {
             seq,

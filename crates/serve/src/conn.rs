@@ -17,8 +17,6 @@ use std::io::{self, IoSliceMut, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use eval_metrics::ConnectionGauge;
-
 /// Per-segment vectored read size; each read syscall can move up to
 /// twice this many bytes.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
@@ -69,8 +67,6 @@ pub(crate) struct Conn {
     /// Last time bytes arrived from the peer; drives the idle-eviction
     /// and partial-frame (slowloris) reapers.
     pub(crate) last_activity: Instant,
-    /// Per-connection traffic counters (logged on disconnect).
-    pub(crate) gauge: ConnectionGauge,
 }
 
 impl Conn {
@@ -86,7 +82,6 @@ impl Conn {
             touched: false,
             session: None,
             last_activity: Instant::now(),
-            gauge: ConnectionGauge::default(),
         }
     }
 

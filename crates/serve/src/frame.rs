@@ -10,12 +10,13 @@
 //! ...     body (opcode-specific, all integers little-endian)
 //! ```
 //!
-//! Requests: `UPDATE(0x01) u64` · `UPDATE_BATCH(0x02) u32 n, n×u64` ·
+//! Requests: `UPDATE_BATCH(0x02) u32 n, n×u64` ·
 //! `ESTIMATE(0x03) u64` · `ESTIMATE_BATCH(0x04) u32 n, n×u64` ·
 //! `TOPK(0x05) u32 k` · `HEALTH(0x06)` · `SYNC(0x07)` ·
 //! `HELLO(0x08) u64 session, u64 resume` ·
-//! `UPDATE_SEQ(0x09) u64 seq, u64 key` ·
 //! `UPDATE_BATCH_SEQ(0x0A) u64 seq, u32 n, n×u64`.
+//! `0x01` and `0x09` are unassigned: a one-key write is an
+//! `UPDATE_BATCH` (or `UPDATE_BATCH_SEQ`) of one key.
 //!
 //! Responses: `OK(0x81) u32` · `VALUE(0x82) i64` ·
 //! `VALUES(0x83) u32 n, n×i64` · `TOPK_ITEMS(0x84) u32 n, n×(u64,i64)` ·
@@ -32,6 +33,8 @@
 //! suite can drive it without sockets. Decoding NEVER panics on any
 //! input: every read is bounds-checked and every count is validated
 //! against the bytes actually present before allocation.
+
+use eval_metrics::ReactorGauge;
 
 /// Hard cap on a frame's payload (opcode + body), requests and responses
 /// alike. A declared length above this is unrecoverable framing damage:
@@ -55,9 +58,8 @@ pub enum ErrorCode {
     Malformed = 1,
     /// Unknown opcode byte. The connection survives (framing is intact).
     UnknownOpcode = 2,
-    /// Load shed: the shard queues are at the admission high-water mark
-    /// (or the connection cap is reached). Retry later; reads are
-    /// unaffected.
+    /// The connection cap is reached: the server answers this one frame
+    /// on the new connection and closes it. Retry later.
     Overloaded = 3,
     /// Declared frame length exceeds [`MAX_FRAME`]; the peer closes.
     TooLarge = 4,
@@ -172,8 +174,6 @@ impl<'a> KeyBytes<'a> {
 /// suite still checks the equivalence independently).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestRef<'a> {
-    /// Ingest one key.
-    Update(u64),
     /// Ingest a batch of keys in order (borrowed).
     UpdateBatch(KeyBytes<'a>),
     /// Point estimate for one key.
@@ -193,13 +193,6 @@ pub enum RequestRef<'a> {
         /// The client's claimed applied floor (0 for a fresh session).
         resume_seq: u64,
     },
-    /// Sequenced ingest of one key (requires a prior `Hello`).
-    UpdateSeq {
-        /// Strictly increasing per-session write sequence.
-        seq: u64,
-        /// The key.
-        key: u64,
-    },
     /// Sequenced ingest of a batch (borrowed; requires a prior `Hello`).
     UpdateBatchSeq {
         /// Strictly increasing per-session write sequence.
@@ -213,7 +206,6 @@ impl RequestRef<'_> {
     /// Copy out into the owned [`Request`] form.
     pub fn to_owned(&self) -> Request {
         match self {
-            RequestRef::Update(k) => Request::Update(*k),
             RequestRef::UpdateBatch(keys) => Request::UpdateBatch(keys.to_vec()),
             RequestRef::Estimate(k) => Request::Estimate(*k),
             RequestRef::EstimateBatch(keys) => Request::EstimateBatch(keys.to_vec()),
@@ -227,10 +219,6 @@ impl RequestRef<'_> {
                 session_id: *session_id,
                 resume_seq: *resume_seq,
             },
-            RequestRef::UpdateSeq { seq, key } => Request::UpdateSeq {
-                seq: *seq,
-                key: *key,
-            },
             RequestRef::UpdateBatchSeq { seq, keys } => Request::UpdateBatchSeq {
                 seq: *seq,
                 keys: keys.to_vec(),
@@ -242,8 +230,6 @@ impl RequestRef<'_> {
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Ingest one key.
-    Update(u64),
     /// Ingest a batch of keys in order.
     UpdateBatch(Vec<u64>),
     /// Point estimate for one key.
@@ -263,13 +249,6 @@ pub enum Request {
         session_id: u64,
         /// The client's claimed applied floor (0 for a fresh session).
         resume_seq: u64,
-    },
-    /// Sequenced ingest of one key (requires a prior `Hello`).
-    UpdateSeq {
-        /// Strictly increasing per-session write sequence.
-        seq: u64,
-        /// The key.
-        key: u64,
     },
     /// Sequenced ingest of a batch of keys (requires a prior `Hello`).
     UpdateBatchSeq {
@@ -292,31 +271,6 @@ pub struct ShardHealthWire {
     pub fault_class: String,
 }
 
-/// Per-reactor I/O gauges as carried by a `HEALTH_INFO` frame.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReactorHealthWire {
-    /// Connections currently owned by this reactor.
-    pub connections: u64,
-    /// `epoll_wait` returns that reported at least one event.
-    pub wakeups: u64,
-    /// Request frames decoded.
-    pub frames_in: u64,
-    /// Socket read syscalls issued.
-    pub read_syscalls: u64,
-    /// Socket write syscalls issued.
-    pub write_syscalls: u64,
-    /// Payload bytes read off sockets.
-    pub bytes_read: u64,
-    /// Payload bytes written to sockets.
-    pub bytes_written: u64,
-    /// Shard-affine mega-batches flushed into the runtime.
-    pub mega_batches: u64,
-    /// Keys carried by those mega-batches.
-    pub mega_batch_keys: u64,
-    /// Staging-buffer key bound (mega-batch fill ratio denominator).
-    pub staging_bound: u64,
-}
-
 /// Server + runtime health as carried by a `HEALTH_INFO` frame.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthInfoWire {
@@ -324,8 +278,6 @@ pub struct HealthInfoWire {
     pub total_routed: u64,
     /// Seqlock reader retries across all read frames served.
     pub reader_retries: u64,
-    /// Write frames shed by admission control (always 0 with it off).
-    pub updates_shed: u64,
     /// Shard index holding the worst-class fault, if any shard is faulted.
     pub worst_fault_shard: Option<u32>,
     /// That worst fault's class name (empty when none).
@@ -333,7 +285,7 @@ pub struct HealthInfoWire {
     /// Per-shard health, indexed by shard.
     pub shards: Vec<ShardHealthWire>,
     /// Per-reactor I/O gauges, one entry per reactor thread.
-    pub reactors: Vec<ReactorHealthWire>,
+    pub reactors: Vec<ReactorGauge>,
 }
 
 /// A server response.
@@ -383,7 +335,6 @@ pub enum Response {
     },
 }
 
-const OP_UPDATE: u8 = 0x01;
 const OP_UPDATE_BATCH: u8 = 0x02;
 const OP_ESTIMATE: u8 = 0x03;
 const OP_ESTIMATE_BATCH: u8 = 0x04;
@@ -391,7 +342,6 @@ const OP_TOPK: u8 = 0x05;
 const OP_HEALTH: u8 = 0x06;
 const OP_SYNC: u8 = 0x07;
 const OP_HELLO: u8 = 0x08;
-const OP_UPDATE_SEQ: u8 = 0x09;
 const OP_UPDATE_BATCH_SEQ: u8 = 0x0A;
 
 const OP_OK: u8 = 0x81;
@@ -481,10 +431,6 @@ impl<'a> Cursor<'a> {
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     let start = begin_frame(out);
     match req {
-        Request::Update(key) => {
-            out.push(OP_UPDATE);
-            out.extend_from_slice(&key.to_le_bytes());
-        }
         Request::UpdateBatch(keys) => {
             out.push(OP_UPDATE_BATCH);
             put_u64s(out, keys);
@@ -510,11 +456,6 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
             out.push(OP_HELLO);
             out.extend_from_slice(&session_id.to_le_bytes());
             out.extend_from_slice(&resume_seq.to_le_bytes());
-        }
-        Request::UpdateSeq { seq, key } => {
-            out.push(OP_UPDATE_SEQ);
-            out.extend_from_slice(&seq.to_le_bytes());
-            out.extend_from_slice(&key.to_le_bytes());
         }
         Request::UpdateBatchSeq { seq, keys } => {
             out.push(OP_UPDATE_BATCH_SEQ);
@@ -557,7 +498,6 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             out.extend_from_slice(&(info.shards.len() as u32).to_le_bytes());
             out.extend_from_slice(&info.total_routed.to_le_bytes());
             out.extend_from_slice(&info.reader_retries.to_le_bytes());
-            out.extend_from_slice(&info.updates_shed.to_le_bytes());
             out.extend_from_slice(&info.worst_fault_shard.unwrap_or(u32::MAX).to_le_bytes());
             put_str(out, &info.worst_fault_class);
             for s in &info.shards {
@@ -568,6 +508,7 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             out.extend_from_slice(&(info.reactors.len() as u32).to_le_bytes());
             for r in &info.reactors {
                 for v in [
+                    r.reactor as u64,
                     r.connections,
                     r.wakeups,
                     r.frames_in,
@@ -631,7 +572,6 @@ pub fn decode_request_ref(payload: &[u8]) -> Result<RequestRef<'_>, FrameError> 
     let mut c = Cursor::new(payload);
     let op = c.u8()?;
     let req = match op {
-        OP_UPDATE => RequestRef::Update(c.u64()?),
         OP_UPDATE_BATCH => {
             let n = c.u32()? as usize;
             RequestRef::UpdateBatch(c.key_bytes(n)?)
@@ -647,10 +587,6 @@ pub fn decode_request_ref(payload: &[u8]) -> Result<RequestRef<'_>, FrameError> 
         OP_HELLO => RequestRef::Hello {
             session_id: c.u64()?,
             resume_seq: c.u64()?,
-        },
-        OP_UPDATE_SEQ => RequestRef::UpdateSeq {
-            seq: c.u64()?,
-            key: c.u64()?,
         },
         OP_UPDATE_BATCH_SEQ => {
             let seq = c.u64()?;
@@ -712,7 +648,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, FrameError> {
             let shard_count = c.u32()? as usize;
             let total_routed = c.u64()?;
             let reader_retries = c.u64()?;
-            let updates_shed = c.u64()?;
             let worst_raw = c.u32()?;
             let worst_fault_class = get_str(&mut c)?;
             // Each shard entry is at least 3 bytes (flags + empty string).
@@ -733,16 +668,17 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, FrameError> {
                 });
             }
             let reactor_count = c.u32()? as usize;
-            // Each reactor entry is exactly 10 u64s (80 bytes).
+            // Each reactor entry is exactly 11 u64s (88 bytes).
             if c.remaining()
-                .checked_div(80)
+                .checked_div(88)
                 .is_none_or(|cap| cap < reactor_count)
             {
                 return Err(FrameError::BadCount);
             }
             let mut reactors = Vec::with_capacity(reactor_count);
             for _ in 0..reactor_count {
-                reactors.push(ReactorHealthWire {
+                reactors.push(ReactorGauge {
+                    reactor: c.u64()? as usize,
                     connections: c.u64()?,
                     wakeups: c.u64()?,
                     frames_in: c.u64()?,
@@ -758,7 +694,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, FrameError> {
             Response::HealthInfo(HealthInfoWire {
                 total_routed,
                 reader_retries,
-                updates_shed,
                 worst_fault_shard: (worst_raw != u32::MAX).then_some(worst_raw),
                 worst_fault_class,
                 shards,
@@ -859,7 +794,6 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip_request(Request::Update(42));
         roundtrip_request(Request::UpdateBatch(vec![]));
         roundtrip_request(Request::UpdateBatch(vec![1, 2, 3, u64::MAX]));
         roundtrip_request(Request::Estimate(7));
@@ -871,7 +805,6 @@ mod tests {
             session_id: u64::MAX,
             resume_seq: 17,
         });
-        roundtrip_request(Request::UpdateSeq { seq: 9, key: 1234 });
         roundtrip_request(Request::UpdateBatchSeq {
             seq: 10,
             keys: vec![1, 2, u64::MAX],
@@ -915,7 +848,6 @@ mod tests {
         roundtrip_response(Response::HealthInfo(HealthInfoWire {
             total_routed: 100,
             reader_retries: 2,
-            updates_shed: 1,
             worst_fault_shard: Some(1),
             worst_fault_class: "no-space".into(),
             shards: vec![
@@ -930,7 +862,8 @@ mod tests {
                     fault_class: "no-space".into(),
                 },
             ],
-            reactors: vec![ReactorHealthWire {
+            reactors: vec![ReactorGauge {
+                reactor: 0,
                 connections: 3,
                 wakeups: 40,
                 frames_in: 200,
@@ -972,9 +905,9 @@ mod tests {
     #[test]
     fn truncated_bodies_error_not_panic() {
         assert_eq!(decode_request(&[]), Err(FrameError::Truncated));
-        assert_eq!(decode_request(&[OP_UPDATE]), Err(FrameError::Truncated));
+        assert_eq!(decode_request(&[OP_ESTIMATE]), Err(FrameError::Truncated));
         assert_eq!(
-            decode_request(&[OP_UPDATE, 1, 2, 3]),
+            decode_request(&[OP_ESTIMATE, 1, 2, 3]),
             Err(FrameError::Truncated)
         );
         assert_eq!(
@@ -995,7 +928,7 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut buf = Vec::new();
-        encode_request(&Request::Update(1), &mut buf);
+        encode_request(&Request::Estimate(1), &mut buf);
         let mut payload = buf[4..].to_vec();
         payload.push(0);
         assert_eq!(decode_request(&payload), Err(FrameError::TrailingBytes));
@@ -1024,6 +957,14 @@ mod tests {
             decode_request(&[0x7F]),
             Err(FrameError::UnknownOpcode(0x7F))
         );
+        // The retired single-key writes, UPDATE and UPDATE_SEQ, stay
+        // unassigned.
+        let mut body = vec![0x01];
+        body.extend_from_slice(&42u64.to_le_bytes());
+        assert_eq!(decode_request(&body), Err(FrameError::UnknownOpcode(0x01)));
+        let mut body = vec![0x09];
+        body.extend_from_slice(&[0u8; 16]);
+        assert_eq!(decode_request(&body), Err(FrameError::UnknownOpcode(0x09)));
         assert_eq!(
             FrameError::UnknownOpcode(0x7F).code(),
             ErrorCode::UnknownOpcode

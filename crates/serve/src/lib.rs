@@ -7,7 +7,7 @@
 //! seqlock filter snapshots via [`asketch_parallel::QueryHandle`] and
 //! never queue behind ingest.
 //!
-//! One I/O engine serves the sockets: [`reactor`] — N epoll reactor
+//! One I/O engine serves the sockets: the `reactor` module — N epoll reactor
 //! threads, in-place frame decode, cross-connection shard-affine staging
 //! flushed as mega-batches, one gathered write syscall per connection
 //! per wakeup (DESIGN.md §16). Serving is Linux-only: the server, the
@@ -52,8 +52,8 @@ pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats, FaultKind};
 pub use client::Client;
 pub use frame::{
     decode_request, decode_request_ref, decode_response, encode_request, encode_response,
-    ErrorCode, FrameError, HealthInfoWire, KeyBytes, ReactorHealthWire, Request, RequestRef,
-    Response, ShardHealthWire, MAX_BATCH, MAX_FRAME,
+    ErrorCode, FrameError, HealthInfoWire, KeyBytes, Request, RequestRef, Response,
+    ShardHealthWire, MAX_BATCH, MAX_FRAME,
 };
 pub use resilient::{BatchAck, ClientError, ResilienceStats, ResilientClient, RetryPolicy};
 #[cfg(target_os = "linux")]

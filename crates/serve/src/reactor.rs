@@ -32,14 +32,8 @@
 //!
 //! *Backpressure*: the staging flush blocks until the rings accept the
 //! batch; reads are bounded per wakeup, so a flooding client fills its
-//! kernel buffers and stalls (end-to-end TCP backpressure, zero shed).
-//! The one shed rule is admission control: with
-//! [`ServeConfig::admission_high_water`] set, a write frame arriving while
-//! the deepest shard queue is at the mark is answered
-//! `ERROR OVERLOADED{retry_after_ms}` and never staged (sequenced writes
-//! probe their own shards all-or-nothing through
-//! [`ConcurrentASketch::try_insert_sessioned`]) — accepted keys are never
-//! dropped, shed frames are never applied, so the books stay exact.
+//! kernel buffers and stalls (end-to-end TCP backpressure). Every write
+//! frame is accepted and applied; none is shed, so the books stay exact.
 //!
 //! *Durability*: the staging flush runs **before** the write pass, and
 //! `insert_sharded` journals before it sends — so by the time an `OK`
@@ -67,14 +61,14 @@ use std::time::{Duration, Instant};
 
 use asketch::{ASketch, Filter};
 use asketch_parallel::{ConcurrentASketch, KeyPartition, QueryHandle};
-use eval_metrics::{ConnectionGauge, ReactorGauge, ShardedHealth};
+use eval_metrics::{ReactorGauge, ShardedHealth};
 use sketches::{SharedView, UpdateEstimate};
 
 use crate::conn::{Conn, ReadProgress, OUT_HIGH_WATER, OUT_LOW_WATER, READ_CHUNK};
 use crate::frame::{
-    decode_request_ref, encode_response, ErrorCode, RequestRef, Response, MAX_FRAME,
+    decode_request_ref, encode_response, ErrorCode, KeyBytes, RequestRef, Response, MAX_FRAME,
 };
-use crate::server::{health_wire, overloaded, shutting_down, Acceptor, ServeConfig, ServerStats};
+use crate::server::{health_wire, shutting_down, Acceptor, ServeConfig, ServerStats};
 use crate::staging::Staging;
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -88,7 +82,7 @@ const MAX_READS_PER_WAKEUP: usize = 4;
 const IDLE_TIMEOUT_MS: i32 = 200;
 
 /// Staging-buffer key bound per reactor: a wakeup flushes once this many
-/// UPDATE keys are staged (and always at end of wakeup).
+/// UPDATE_BATCH keys are staged (and always at end of wakeup).
 const STAGING_KEYS: usize = 16_384;
 
 /// How often the idle/slowloris reaper sweeps a reactor's connections.
@@ -98,13 +92,14 @@ const REAP_INTERVAL: Duration = Duration::from_millis(100);
 /// retry delta exceeds this counts as `reader_blocked`.
 const READ_RETRY_BOUND: u64 = 64;
 
-/// Live per-reactor I/O counters, shared so any reactor can snapshot the
-/// whole set for a HEALTH frame.
+/// Live per-reactor I/O counters, held in [`ServerStats`] so any reactor
+/// can snapshot the whole set for a HEALTH frame, and so the server's
+/// frame and open-connection totals are their sums.
 #[derive(Default)]
-struct GaugeCells {
-    connections: AtomicU64,
+pub(crate) struct GaugeCells {
+    pub(crate) connections: AtomicU64,
     wakeups: AtomicU64,
-    frames_in: AtomicU64,
+    pub(crate) frames_in: AtomicU64,
     read_syscalls: AtomicU64,
     write_syscalls: AtomicU64,
     bytes_read: AtomicU64,
@@ -114,7 +109,7 @@ struct GaugeCells {
 }
 
 impl GaugeCells {
-    fn snapshot(&self, reactor: usize) -> ReactorGauge {
+    pub(crate) fn snapshot(&self, reactor: usize) -> ReactorGauge {
         ReactorGauge {
             reactor,
             connections: self.connections.load(Ordering::Relaxed),
@@ -154,7 +149,7 @@ where
     acceptor: Acceptor,
     reactors: Vec<JoinHandle<()>>,
     inboxes: Arc<Vec<Inbox>>,
-    gauges: Arc<Vec<GaugeCells>>,
+    stats: Arc<ServerStats>,
 }
 
 impl<F, S> ReactorEngine<F, S>
@@ -162,7 +157,8 @@ where
     F: Filter + Clone + Send + Sync + 'static,
     S: SharedView + UpdateEstimate + Clone + Send + Sync + 'static,
 {
-    /// Start serving `rt` on an already-bound blocking `listener`.
+    /// Start serving `rt` on an already-bound blocking `listener`, one
+    /// reactor per cell set in `stats`.
     ///
     /// # Errors
     /// epoll/eventfd creation or thread-spawn failures.
@@ -173,7 +169,7 @@ where
         stats: Arc<ServerStats>,
         handle: QueryHandle<S>,
     ) -> io::Result<Self> {
-        let n = cfg.reactor_count();
+        let n = stats.reactors.len();
         let partition = rt.partition();
         let stop = Arc::new(AtomicBool::new(false));
         let core: IngestCore<F, S> = Arc::new(Mutex::new(Some(rt)));
@@ -187,9 +183,6 @@ where
         }
         let inboxes = Arc::new(inboxes);
 
-        let gauges: Arc<Vec<GaugeCells>> =
-            Arc::new((0..n).map(|_| GaugeCells::default()).collect());
-
         let mut reactors = Vec::with_capacity(n);
         for idx in 0..n {
             let reactor = Reactor {
@@ -198,7 +191,6 @@ where
                 stop: Arc::clone(&stop),
                 core: Arc::clone(&core),
                 inboxes: Arc::clone(&inboxes),
-                gauges: Arc::clone(&gauges),
                 handle: handle.clone(),
                 stats: Arc::clone(&stats),
                 cfg: cfg.clone(),
@@ -218,6 +210,7 @@ where
 
         let acceptor = {
             let inboxes = Arc::clone(&inboxes);
+            let stats = Arc::clone(&stats);
             let mut next = 0usize;
             Acceptor::spawn(listener, cfg.max_connections, stats, move |sock| {
                 if sock.set_nonblocking(true).is_err() {
@@ -240,7 +233,7 @@ where
             acceptor,
             reactors,
             inboxes,
-            gauges,
+            stats,
         })
     }
 
@@ -269,12 +262,7 @@ where
         match rt {
             Some(rt) => {
                 let (kernels, mut health) = rt.finish_with_health();
-                health.reactors = self
-                    .gauges
-                    .iter()
-                    .enumerate()
-                    .map(|(i, g)| g.snapshot(i))
-                    .collect();
+                health.reactors = self.stats.reactor_gauges();
                 (kernels, health)
             }
             None => (Vec::new(), ShardedHealth::default()),
@@ -312,7 +300,6 @@ where
     stop: Arc<AtomicBool>,
     core: IngestCore<F, S>,
     inboxes: Arc<Vec<Inbox>>,
-    gauges: Arc<Vec<GaugeCells>>,
     handle: QueryHandle<S>,
     stats: Arc<ServerStats>,
     cfg: ServeConfig,
@@ -335,6 +322,11 @@ where
     F: Filter + Clone + Send + Sync + 'static,
     S: SharedView + UpdateEstimate + Clone + Send + Sync + 'static,
 {
+    /// This reactor's own I/O cells.
+    fn cells(&self) -> &GaugeCells {
+        &self.stats.reactors[self.idx]
+    }
+
     fn run(mut self) {
         if self
             .epoll
@@ -355,9 +347,7 @@ where
                 Ok(n) => n,
                 Err(_) => break,
             };
-            self.gauges[self.idx]
-                .wakeups
-                .fetch_add(1, Ordering::Relaxed);
+            self.cells().wakeups.fetch_add(1, Ordering::Relaxed);
             for ev in &events[..n] {
                 let token = ev.token();
                 if token == 0 {
@@ -401,12 +391,7 @@ where
                 self.free.push(slot);
                 continue;
             }
-            self.stats
-                .connections_active
-                .fetch_add(1, Ordering::Relaxed);
-            self.gauges[self.idx]
-                .connections
-                .fetch_add(1, Ordering::Relaxed);
+            self.cells().connections.fetch_add(1, Ordering::Relaxed);
             self.conns[slot] = Some(conn);
         }
     }
@@ -442,7 +427,7 @@ where
             match conn.read_some(&mut self.scratch) {
                 ReadProgress::Data(n) => {
                     conn.last_activity = Instant::now();
-                    let cells = &self.gauges[self.idx];
+                    let cells = self.cells();
                     cells.read_syscalls.fetch_add(1, Ordering::Relaxed);
                     cells.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
                     self.process_frames(conn);
@@ -482,7 +467,6 @@ where
                 // Framing is unrecoverable: answer why, then close once
                 // the answer drains.
                 self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                conn.gauge.protocol_errors += 1;
                 let resp = Response::Error {
                     code: ErrorCode::TooLarge,
                     detail: format!("declared frame length {declared} exceeds {MAX_FRAME}"),
@@ -490,7 +474,6 @@ where
                 };
                 encode_response(&resp, &mut out);
                 self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                conn.gauge.frames_out += 1;
                 conn.closing = true;
                 off = buf.len();
                 break;
@@ -501,16 +484,11 @@ where
             }
             let payload = &buf[off + 4..off + 4 + len];
             off += 4 + len;
-            self.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-            self.gauges[self.idx]
-                .frames_in
-                .fetch_add(1, Ordering::Relaxed);
-            conn.gauge.frames_in += 1;
+            self.cells().frames_in.fetch_add(1, Ordering::Relaxed);
             let resp = match decode_request_ref(payload) {
-                Ok(req) => self.answer(req, &mut conn.gauge, &mut conn.session),
+                Ok(req) => self.answer(req, &mut conn.session),
                 Err(e) => {
                     self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    conn.gauge.protocol_errors += 1;
                     Response::Error {
                         code: e.code(),
                         detail: e.detail(),
@@ -520,7 +498,6 @@ where
             };
             encode_response(&resp, &mut out);
             self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-            conn.gauge.frames_out += 1;
         }
         conn.buf = buf;
         conn.out = out;
@@ -531,42 +508,27 @@ where
     }
 
     /// Answer one decoded request. Reads come straight off the snapshot
-    /// handle; writes pass admission control, then go through staging
-    /// (or, sequenced, straight to the runtime).
-    fn answer(
-        &mut self,
-        req: RequestRef<'_>,
-        gauge: &mut ConnectionGauge,
-        session: &mut Option<u64>,
-    ) -> Response {
+    /// handle; writes go through staging (or, sequenced, straight to the
+    /// runtime).
+    fn answer(&mut self, req: RequestRef<'_>, session: &mut Option<u64>) -> Response {
         match req {
-            RequestRef::Update(key) => self.ingest(1, std::iter::once(key), gauge),
-            RequestRef::UpdateBatch(keys) => self.ingest(keys.len(), keys.iter(), gauge),
+            RequestRef::UpdateBatch(keys) => self.ingest(keys),
             RequestRef::Hello {
                 session_id,
                 resume_seq,
             } => self.hello_session(session, session_id, resume_seq),
-            RequestRef::UpdateSeq { seq, key } => {
-                self.ingest_sessioned(*session, seq, std::iter::once(key), gauge)
-            }
-            RequestRef::UpdateBatchSeq { seq, keys } => {
-                self.ingest_sessioned(*session, seq, keys.iter(), gauge)
-            }
+            RequestRef::UpdateBatchSeq { seq, keys } => self.ingest_sessioned(*session, seq, keys),
             RequestRef::Estimate(key) => {
                 let before = self.handle.reader_retries();
                 let value = self.handle.estimate(key);
-                self.track_read(self.handle.reader_retries() - before, 1, gauge);
+                self.track_read(self.handle.reader_retries() - before, 1);
                 Response::Value(value)
             }
             RequestRef::EstimateBatch(keys) => {
                 let owned = keys.to_vec();
                 let before = self.handle.reader_retries();
                 let values = self.handle.estimate_batch(&owned);
-                self.track_read(
-                    self.handle.reader_retries() - before,
-                    owned.len() as u64,
-                    gauge,
-                );
+                self.track_read(self.handle.reader_retries() - before, owned.len() as u64);
                 Response::Values(values)
             }
             RequestRef::TopK(k) => {
@@ -579,49 +541,17 @@ where
         }
     }
 
-    /// Stage one write frame's keys, or shed the frame whole when
-    /// admission control is on and the deepest shard queue is at the
-    /// high-water mark.
-    fn ingest(
-        &mut self,
-        n: usize,
-        keys: impl Iterator<Item = u64>,
-        gauge: &mut ConnectionGauge,
-    ) -> Response {
-        if self.cfg.admission_high_water > 0 && self.admission_over() {
-            return self.shed_frame(gauge);
-        }
-        self.staging.stage(keys);
+    /// Stage one write frame's keys; a full staging buffer ships at once.
+    fn ingest(&mut self, keys: KeyBytes<'_>) -> Response {
+        self.staging.stage(keys.iter());
         if self.staging.at_bound() {
             self.flush_blocking();
         }
-        self.accepted(n, gauge)
-    }
-
-    fn accepted(&self, n: usize, gauge: &mut ConnectionGauge) -> Response {
+        let n = keys.len();
         self.stats
             .updates_ingested
             .fetch_add(n as u64, Ordering::Relaxed);
-        gauge.updates += n as u64;
         Response::Ok(n as u32)
-    }
-
-    fn shed_frame(&self, gauge: &mut ConnectionGauge) -> Response {
-        self.stats.updates_shed.fetch_add(1, Ordering::Relaxed);
-        gauge.shed += 1;
-        overloaded("ingest queue full; batch shed")
-    }
-
-    /// Queue-depth admission probe: true when the runtime's deepest
-    /// shard queue has backed up past the configured high-water mark.
-    /// Only consulted when `admission_high_water > 0`, so the default
-    /// hot path never takes this lock per frame.
-    fn admission_over(&self) -> bool {
-        let mut guard = self.core.lock().unwrap_or_else(PoisonError::into_inner);
-        match guard.as_mut() {
-            Some(rt) => rt.max_queue_depth() >= self.cfg.admission_high_water,
-            None => false,
-        }
     }
 
     /// HELLO handshake: register the session on this connection, fold
@@ -647,16 +577,8 @@ where
     /// One sequenced write: partition, then apply under the core lock
     /// with per-shard session dedup — bypassing the cross-connection
     /// staging so the (session, seq) annotation rides the exact shard
-    /// batches this frame produced. Duplicates are always admitted even
-    /// when backed up: dedup ships nothing, and the retrying client
-    /// needs the ack.
-    fn ingest_sessioned(
-        &mut self,
-        session: Option<u64>,
-        seq: u64,
-        keys: impl Iterator<Item = u64>,
-        gauge: &mut ConnectionGauge,
-    ) -> Response {
+    /// batches this frame produced.
+    fn ingest_sessioned(&mut self, session: Option<u64>, seq: u64, keys: KeyBytes<'_>) -> Response {
         let Some(sid) = session else {
             return Response::Error {
                 code: ErrorCode::Malformed,
@@ -665,35 +587,24 @@ where
             };
         };
         let mut batches: Vec<Vec<u64>> = vec![Vec::new(); self.partition.shards()];
-        for key in keys {
+        for key in keys.iter() {
             batches[self.partition.shard_of(key)].push(key);
         }
-        let outcome = {
+        let o = {
             let mut guard = self.core.lock().unwrap_or_else(PoisonError::into_inner);
             let Some(rt) = guard.as_mut() else {
                 return shutting_down();
             };
-            let hw = self.cfg.admission_high_water;
-            if hw > 0 {
-                rt.try_insert_sessioned(sid, seq, &mut batches, hw)
-            } else {
-                Some(rt.insert_sessioned(sid, seq, &mut batches))
-            }
+            rt.insert_sessioned(sid, seq, &mut batches)
         };
-        match outcome {
-            Some(o) => {
-                self.stats
-                    .updates_ingested
-                    .fetch_add(o.applied as u64, Ordering::Relaxed);
-                gauge.updates += o.applied as u64;
-                Response::OkSeq {
-                    seq,
-                    applied: o.applied as u32,
-                    duplicate: o.duplicate,
-                    degraded: o.degraded,
-                }
-            }
-            None => self.shed_frame(gauge),
+        self.stats
+            .updates_ingested
+            .fetch_add(o.applied as u64, Ordering::Relaxed);
+        Response::OkSeq {
+            seq,
+            applied: o.applied as u32,
+            duplicate: o.duplicate,
+            degraded: o.degraded,
         }
     }
 
@@ -720,7 +631,6 @@ where
             let quiet = conn.last_activity.elapsed();
             if partial > 0 && !conn.buf.is_empty() && quiet >= Duration::from_millis(partial) {
                 self.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                conn.gauge.protocol_errors += 1;
                 let resp = Response::Error {
                     code: ErrorCode::Malformed,
                     detail: "partial frame timed out".to_string(),
@@ -728,7 +638,6 @@ where
                 };
                 encode_response(&resp, &mut conn.out);
                 self.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                conn.gauge.frames_out += 1;
                 conn.closing = true;
                 conn.buf.clear();
                 if !conn.touched {
@@ -750,11 +659,10 @@ where
 
     /// Account one read's seqlock retry delta against the wait-free
     /// gauge.
-    fn track_read(&self, delta: u64, reads: u64, gauge: &mut ConnectionGauge) {
+    fn track_read(&self, delta: u64, reads: u64) {
         self.stats
             .estimates_served
             .fetch_add(reads, Ordering::Relaxed);
-        gauge.estimates += reads;
         if delta > 0 {
             self.stats
                 .reader_retries
@@ -782,7 +690,7 @@ where
         match guard.as_mut() {
             Some(rt) => {
                 self.staging.flush_blocking(rt);
-                Self::publish_mega_counters(&self.staging, &self.gauges[self.idx]);
+                Self::publish_mega_counters(&self.staging, self.cells());
             }
             // Shutdown already took the runtime; nothing can apply these.
             None => {
@@ -801,7 +709,7 @@ where
             return shutting_down();
         };
         self.staging.flush_blocking(rt);
-        Self::publish_mega_counters(&self.staging, &self.gauges[self.idx]);
+        Self::publish_mega_counters(&self.staging, self.cells());
         rt.sync();
         // Durable runtimes: fsync the WALs so SYNCED means "will survive
         // a crash". Non-durable: documented no-op. A degraded shard's
@@ -820,15 +728,8 @@ where
             return shutting_down();
         };
         self.staging.flush_blocking(rt);
-        Self::publish_mega_counters(&self.staging, &self.gauges[self.idx]);
-        let mut health = rt.health();
-        health.reactors = self
-            .gauges
-            .iter()
-            .enumerate()
-            .map(|(i, g)| g.snapshot(i))
-            .collect();
-        Response::HealthInfo(health_wire(&health, &self.stats))
+        Self::publish_mega_counters(&self.staging, self.cells());
+        Response::HealthInfo(health_wire(&rt.health(), &self.stats))
     }
 
     /// One write syscall per touched connection; arm/disarm `EPOLLOUT`
@@ -862,7 +763,7 @@ where
         match conn.flush_out() {
             Ok(0) => true,
             Ok(n) => {
-                let cells = &self.gauges[self.idx];
+                let cells = self.cells();
                 cells.write_syscalls.fetch_add(1, Ordering::Relaxed);
                 cells.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
                 true
@@ -900,15 +801,7 @@ where
     fn close_conn(&mut self, slot: usize, conn: Conn) {
         self.epoll.delete(conn.sock().as_raw_fd());
         let _ = conn.sock().shutdown(std::net::Shutdown::Both);
-        self.stats
-            .connections_active
-            .fetch_sub(1, Ordering::Relaxed);
-        self.gauges[self.idx]
-            .connections
-            .fetch_sub(1, Ordering::Relaxed);
-        if self.cfg.log_disconnects {
-            eprintln!("serve: connection closed: {:?}", conn.gauge);
-        }
+        self.cells().connections.fetch_sub(1, Ordering::Relaxed);
         self.free.push(slot);
     }
 

@@ -15,9 +15,8 @@
 //!   reconnect-and-replay with exponential backoff + deterministic
 //!   jitter, up to [`RetryPolicy::max_reconnects`] per operation, then
 //!   [`ClientError::ConnectionLost`];
-//! - `OVERLOADED` sheds are retried after the server's `retry_after_ms`
-//!   hint (or surfaced as [`ClientError::Shed`] when
-//!   [`RetryPolicy::retry_sheds`] is off);
+//! - an `OVERLOADED` refusal (the server's connection cap) is retried
+//!   after the server's `retry_after_ms` hint;
 //! - `SHUTTING_DOWN` triggers backoff + reconnect (the peer is
 //!   draining; a replacement may be seconds away);
 //! - when [`RetryPolicy::op_deadline`] expires mid-retry the operation
@@ -48,12 +47,6 @@ pub enum ClientError {
     /// Pending writes remain in the replay window and will be retried by
     /// the next operation.
     Timeout,
-    /// The server shed the write under load ([`ErrorCode::Overloaded`])
-    /// and shed-retries are disabled.
-    Shed {
-        /// Server-suggested backoff before retrying.
-        retry_after_ms: u32,
-    },
     /// The server refused because it is draining for shutdown.
     ShuttingDown,
     /// The server answered with [`ErrorCode::Degraded`]: applied, but
@@ -75,9 +68,6 @@ impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Timeout => write!(f, "operation deadline expired"),
-            Self::Shed { retry_after_ms } => {
-                write!(f, "write shed by server (retry after {retry_after_ms} ms)")
-            }
             Self::ShuttingDown => write!(f, "server shutting down"),
             Self::Degraded { detail } => write!(f, "server degraded: {detail}"),
             Self::ConnectionLost => write!(f, "reconnect attempts exhausted"),
@@ -104,9 +94,6 @@ pub struct RetryPolicy {
     /// Reconnect attempts per operation before
     /// [`ClientError::ConnectionLost`].
     pub max_reconnects: u32,
-    /// Retry `OVERLOADED` sheds after the server's hint (true), or
-    /// surface them as [`ClientError::Shed`] (false).
-    pub retry_sheds: bool,
     /// Seed for deterministic backoff jitter (decorrelates reconnect
     /// stampedes across clients; fixed per client for reproducibility).
     pub jitter_seed: u64,
@@ -120,7 +107,6 @@ impl Default for RetryPolicy {
             op_deadline: Duration::from_secs(30),
             read_timeout: Duration::from_secs(5),
             max_reconnects: 64,
-            retry_sheds: true,
             jitter_seed: 0x5EED_2016,
         }
     }
@@ -148,7 +134,8 @@ pub struct ResilienceStats {
     pub replays: u64,
     /// Acks that came back `duplicate` (proof the dedup layer worked).
     pub duplicate_acks: u64,
-    /// `OVERLOADED` sheds absorbed by waiting out the server's hint.
+    /// `OVERLOADED` refusals (the server's connection cap) absorbed by
+    /// waiting out the server's hint.
     pub sheds_retried: u64,
     /// Acks carrying the `DEGRADED` flag.
     pub degraded_acks: u64,
@@ -216,7 +203,7 @@ impl ResilientClient {
     /// # Errors
     /// [`ClientError::Timeout`] on deadline (the batch stays queued for
     /// replay), [`ClientError::ConnectionLost`] when reconnects are
-    /// exhausted, [`ClientError::Shed`] when shed-retries are disabled.
+    /// exhausted.
     pub fn update_batch(&mut self, keys: &[u64]) -> Result<BatchAck, ClientError> {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -377,12 +364,8 @@ impl ResilientClient {
                 retry_after_ms,
                 ..
             } => {
-                if self.policy.retry_sheds {
-                    self.stats.sheds_retried += 1;
-                    Classified::Retry(RetryVerdict::Backoff(retry_after_ms))
-                } else {
-                    Classified::Retry(RetryVerdict::Fatal(ClientError::Shed { retry_after_ms }))
-                }
+                self.stats.sheds_retried += 1;
+                Classified::Retry(RetryVerdict::Backoff(retry_after_ms))
             }
             Response::Error {
                 code: ErrorCode::ShuttingDown,
@@ -430,9 +413,23 @@ impl ResilientClient {
             // Resume floor 0: the server's recovered high-water mark is
             // authoritative; claiming more would over-trim on a peer
             // that lost un-fsynced acks to a crash.
-            let floor = match c.hello(self.session_id, 0) {
-                Ok(f) => f,
-                Err(_) => continue,
+            let hello = Request::Hello {
+                session_id: self.session_id,
+                resume_seq: 0,
+            };
+            let Ok(resp) = c.call(&hello) else {
+                continue;
+            };
+            let floor = match self.classify(resp) {
+                Classified::Payload(Response::HelloAck { applied_seq }) => applied_seq,
+                // The connection cap answers the handshake with
+                // `OVERLOADED` and closes: wait out its hint, then dial
+                // again.
+                Classified::Retry(RetryVerdict::Backoff(hint)) => {
+                    self.sleep_hint(hint, deadline)?;
+                    continue;
+                }
+                _ => continue,
             };
             // The floor is what the server has applied, not what it has
             // fsynced: a live server counts acked-but-unsynced writes,

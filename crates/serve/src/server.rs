@@ -1,18 +1,18 @@
 //! The serving front door: config, whole-server counters, the listener
-//! thread, and the [`Server`] that runs the epoll reactor engine
-//! ([`crate::reactor`]) over a single [`ConcurrentASketch`] runtime.
+//! thread, and the [`Server`] that runs the epoll reactor engine (the
+//! private `reactor` module) over a single [`ConcurrentASketch`] runtime.
 //!
 //! N reactor threads own disjoint nonblocking connection sets, decode
-//! frames in place, coalesce UPDATE keys **across connections** into
+//! frames in place, coalesce UPDATE_BATCH keys **across connections** into
 //! per-shard staging buffers flushed straight into the runtime's shard
 //! rings (one journal seq + one ring push per shard mega-batch), and
 //! answer reads on the reactor thread from the wait-free [`QueryHandle`]
 //! snapshots. Per-connection pipelining keeps response order equal to
-//! request order; a full shard ring blocks the staging flush (TCP
-//! backpressure), and the only shed rule is the optional admission
-//! high-water mark ([`ServeConfig::admission_high_water`]); graceful
-//! shutdown drains every accepted write. See DESIGN.md §14
-//! (protocol/semantics) and §16 (reactor architecture).
+//! request order; a full shard ring blocks the staging flush, and TCP
+//! flow control pushes back on the writer. No write is ever shed; the
+//! connection cap is the only refusal. Graceful shutdown drains every
+//! accepted write. See DESIGN.md §14 (protocol/semantics) and §16
+//! (reactor architecture).
 
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -23,30 +23,20 @@ use std::time::Duration;
 
 use asketch::{ASketch, Filter};
 use asketch_parallel::{ConcurrentASketch, QueryHandle};
-use eval_metrics::{ServerGauge, ShardedHealth};
+use eval_metrics::{ReactorGauge, ServerGauge, ShardedHealth};
 use sketches::{SharedView, UpdateEstimate};
 
-use crate::frame::{ErrorCode, HealthInfoWire, ReactorHealthWire, Response, ShardHealthWire};
-use crate::reactor::ReactorEngine;
+use crate::frame::{ErrorCode, HealthInfoWire, Response, ShardHealthWire};
+use crate::reactor::{GaugeCells, ReactorEngine};
 
 /// Serving-layer tunables.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port (tests, CI smoke).
     pub addr: String,
-    /// Print a per-connection [`eval_metrics::ConnectionGauge`] summary
-    /// on disconnect.
-    pub log_disconnects: bool,
     /// Reactor thread count. `0` = auto: half the available cores,
     /// clamped to `[1, 4]`.
     pub reactors: usize,
-    /// Queue-depth admission high-water mark for writes, in in-flight
-    /// batches per shard — the server's only overload shed rule. At it,
-    /// writes (sequenced or not) are shed with
-    /// `ERROR OVERLOADED{retry_after_ms}` while wait-free reads keep
-    /// serving. `0` = disabled (the default): a full ring blocks the
-    /// writer instead, and nothing is ever shed.
-    pub admission_high_water: usize,
     /// Maximum simultaneously-served connections. New connections past
     /// the cap are answered with one `ERROR OVERLOADED` frame and
     /// closed. `0` = unlimited.
@@ -68,9 +58,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            log_disconnects: false,
             reactors: 0,
-            admission_high_water: 0,
             max_connections: 0,
             idle_timeout_ms: 0,
             partial_frame_timeout_ms: 10_000,
@@ -91,34 +79,68 @@ impl ServeConfig {
 }
 
 /// Live whole-server counters (atomics; [`ServerStats::gauge`] snapshots
-/// them into the serializable [`ServerGauge`]).
-#[derive(Debug, Default)]
+/// them into the serializable [`ServerGauge`]). Each fact is counted
+/// once: frames in and open connections live only in the per-reactor
+/// cells, and the server totals are their sums.
 pub struct ServerStats {
     pub(crate) connections_accepted: AtomicU64,
-    pub(crate) connections_active: AtomicU64,
-    pub(crate) frames_in: AtomicU64,
     pub(crate) frames_out: AtomicU64,
     pub(crate) updates_ingested: AtomicU64,
     pub(crate) estimates_served: AtomicU64,
     pub(crate) topk_served: AtomicU64,
-    pub(crate) updates_shed: AtomicU64,
     pub(crate) protocol_errors: AtomicU64,
     pub(crate) reader_retries: AtomicU64,
     pub(crate) reader_blocked: AtomicU64,
+    /// One cell set per reactor thread, indexed by reactor.
+    pub(crate) reactors: Box<[GaugeCells]>,
 }
 
 impl ServerStats {
+    fn new(reactors: usize) -> Self {
+        Self {
+            connections_accepted: AtomicU64::new(0),
+            frames_out: AtomicU64::new(0),
+            updates_ingested: AtomicU64::new(0),
+            estimates_served: AtomicU64::new(0),
+            topk_served: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            reader_retries: AtomicU64::new(0),
+            reader_blocked: AtomicU64::new(0),
+            reactors: (0..reactors).map(|_| GaugeCells::default()).collect(),
+        }
+    }
+
+    /// Snapshot every reactor's cells, indexed by reactor.
+    pub(crate) fn reactor_gauges(&self) -> Vec<ReactorGauge> {
+        self.reactors
+            .iter()
+            .enumerate()
+            .map(|(i, cells)| cells.snapshot(i))
+            .collect()
+    }
+
+    /// Connections open across all reactors.
+    pub(crate) fn connections_open(&self) -> u64 {
+        self.reactors
+            .iter()
+            .map(|cells| cells.connections.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Snapshot the live counters.
     pub fn gauge(&self) -> ServerGauge {
         ServerGauge {
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_active: self.connections_active.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
+            connections_active: self.connections_open(),
+            frames_in: self
+                .reactors
+                .iter()
+                .map(|cells| cells.frames_in.load(Ordering::Relaxed))
+                .sum(),
             frames_out: self.frames_out.load(Ordering::Relaxed),
             updates_ingested: self.updates_ingested.load(Ordering::Relaxed),
             estimates_served: self.estimates_served.load(Ordering::Relaxed),
             topk_served: self.topk_served.load(Ordering::Relaxed),
-            updates_shed: self.updates_shed.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             reader_retries: self.reader_retries.load(Ordering::Relaxed),
             reader_blocked: self.reader_blocked.load(Ordering::Relaxed),
@@ -152,7 +174,7 @@ where
     pub fn spawn(cfg: ServeConfig, rt: ConcurrentASketch<F, S>) -> io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::default());
+        let stats = Arc::new(ServerStats::new(cfg.reactor_count()));
         let handle = rt.query_handle();
         let engine = ReactorEngine::spawn(listener, cfg, rt, Arc::clone(&stats), handle.clone())?;
         Ok(Self {
@@ -189,9 +211,8 @@ where
     }
 }
 
-/// Retry hint carried on shed/refused frames, in milliseconds. A small
-/// constant: the queues this guards drain in single-digit milliseconds,
-/// and clients jitter their own backoff on top.
+/// Retry hint carried on refusal frames, in milliseconds. A small
+/// constant: clients jitter their own backoff on top.
 pub(crate) const RETRY_AFTER_MS: u32 = 25;
 
 /// The canonical "engine is gone" error response.
@@ -199,15 +220,6 @@ pub(crate) fn shutting_down() -> Response {
     Response::Error {
         code: ErrorCode::ShuttingDown,
         detail: "server shutting down".to_string(),
-        retry_after_ms: RETRY_AFTER_MS,
-    }
-}
-
-/// The canonical admission-shed error response.
-pub(crate) fn overloaded(detail: &str) -> Response {
-    Response::Error {
-        code: ErrorCode::Overloaded,
-        detail: detail.to_string(),
         retry_after_ms: RETRY_AFTER_MS,
     }
 }
@@ -264,11 +276,13 @@ impl Acceptor {
                         refuse(sock, &shutting_down());
                         continue;
                     }
-                    if max_connections > 0
-                        && stats.connections_active.load(Ordering::Relaxed)
-                            >= max_connections as u64
-                    {
-                        refuse(sock, &overloaded("connection cap reached"));
+                    if max_connections > 0 && stats.connections_open() >= max_connections as u64 {
+                        let cap = Response::Error {
+                            code: ErrorCode::Overloaded,
+                            detail: "connection cap reached".to_string(),
+                            retry_after_ms: RETRY_AFTER_MS,
+                        };
+                        refuse(sock, &cap);
                         continue;
                     }
                     let _ = sock.set_nodelay(true);
@@ -338,14 +352,13 @@ fn refuse(sock: TcpStream, resp: &Response) {
 /// Project runtime health + server counters into the wire form. Per-shard
 /// fault classes are carried individually — two shards degraded with
 /// different classes both report their own — and the worst class is
-/// ranked by severity, never by shard order. Reactor I/O gauges ride
-/// along per reactor.
+/// ranked by severity, never by shard order. The live per-reactor I/O
+/// gauges ride along.
 pub(crate) fn health_wire(health: &ShardedHealth, stats: &ServerStats) -> HealthInfoWire {
     let worst = health.worst_durability_error();
     HealthInfoWire {
         total_routed: health.total_routed(),
         reader_retries: stats.reader_retries.load(Ordering::Relaxed),
-        updates_shed: stats.updates_shed.load(Ordering::Relaxed),
         worst_fault_shard: worst.map(|(shard, _)| shard as u32),
         worst_fault_class: worst.map(|(_, f)| f.class.clone()).unwrap_or_default(),
         shards: health
@@ -361,21 +374,6 @@ pub(crate) fn health_wire(health: &ShardedHealth, stats: &ServerStats) -> Health
                     .unwrap_or_default(),
             })
             .collect(),
-        reactors: health
-            .reactors
-            .iter()
-            .map(|r| ReactorHealthWire {
-                connections: r.connections,
-                wakeups: r.wakeups,
-                frames_in: r.frames_in,
-                read_syscalls: r.read_syscalls,
-                write_syscalls: r.write_syscalls,
-                bytes_read: r.bytes_read,
-                bytes_written: r.bytes_written,
-                mega_batches: r.mega_batches,
-                mega_batch_keys: r.mega_batch_keys,
-                staging_bound: r.staging_bound,
-            })
-            .collect(),
+        reactors: stats.reactor_gauges(),
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The approved dependency set has no `libc`/`signal-hook` crate, so the
 //! one POSIX call the daemon needs — `signal(SIGTERM, handler)` — is
-//! declared here directly, mirroring the [`crate::sys`] approach for
+//! declared here directly, mirroring the private `sys` module's approach for
 //! epoll. The handler only sets a process-global atomic flag (the
 //! strictest async-signal-safe discipline), which the daemon's
 //! foreground loop polls alongside stdin. This unifies the two shutdown

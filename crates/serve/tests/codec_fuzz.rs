@@ -5,9 +5,10 @@
 
 use asketch_serve::{
     decode_request, decode_request_ref, decode_response, encode_request, encode_response,
-    ErrorCode, HealthInfoWire, ReactorHealthWire, Request, Response, ShardHealthWire, MAX_BATCH,
+    ErrorCode, FrameError, HealthInfoWire, Request, Response, ShardHealthWire, MAX_BATCH,
     MAX_FRAME,
 };
+use eval_metrics::ReactorGauge;
 use sketches::hash::SplitMix64;
 use streamgen::prop::{check, in_range, vec_of};
 
@@ -25,24 +26,22 @@ fn i64s(rng: &mut SplitMix64, lens: std::ops::Range<usize>) -> Vec<i64> {
     vec_of(rng, lens, |r| r.next_u64() as i64)
 }
 
+/// Request shapes [`build_request`] draws from.
+const REQUEST_KINDS: usize = 8;
+
 /// Deterministically build one of every request shape from fuzz inputs.
 fn build_request(kind: usize, key: u64, keys: &[u64], k: u32) -> Request {
-    match kind % 10 {
-        0 => Request::Update(key),
-        1 => Request::UpdateBatch(keys.to_vec()),
-        2 => Request::Estimate(key),
-        3 => Request::EstimateBatch(keys.to_vec()),
-        4 => Request::TopK(k),
-        5 => Request::Health,
-        6 => Request::Hello {
+    match kind % REQUEST_KINDS {
+        0 => Request::UpdateBatch(keys.to_vec()),
+        1 => Request::Estimate(key),
+        2 => Request::EstimateBatch(keys.to_vec()),
+        3 => Request::TopK(k),
+        4 => Request::Health,
+        5 => Request::Hello {
             session_id: key,
             resume_seq: key.rotate_left(17),
         },
-        7 => Request::UpdateSeq {
-            seq: key.rotate_left(31),
-            key,
-        },
-        8 => Request::UpdateBatchSeq {
+        6 => Request::UpdateBatchSeq {
             seq: key.rotate_left(7),
             keys: keys.to_vec(),
         },
@@ -111,7 +110,6 @@ fn build_health(scalar: u64, vals: &[i64], raw: &[u8]) -> HealthInfoWire {
     HealthInfoWire {
         total_routed: scalar,
         reader_retries: scalar.rotate_left(13),
-        updates_shed: scalar.rotate_left(29),
         // u32::MAX is the on-wire "no fault" sentinel, so a real shard
         // index never carries it.
         worst_fault_shard: scalar
@@ -122,7 +120,9 @@ fn build_health(scalar: u64, vals: &[i64], raw: &[u8]) -> HealthInfoWire {
         reactors: vals
             .iter()
             .take(4)
-            .map(|&v| ReactorHealthWire {
+            .enumerate()
+            .map(|(i, &v)| ReactorGauge {
+                reactor: i,
                 connections: v as u64,
                 wakeups: scalar ^ v as u64,
                 frames_in: scalar.wrapping_add(v as u64),
@@ -186,11 +186,26 @@ fn opcode_prefixed_garbage_never_panics() {
     });
 }
 
+/// The retired single-key writes, UPDATE (0x01) and UPDATE_SEQ (0x09),
+/// stay unassigned: whatever body follows, both decoders name them as
+/// unknown opcodes.
+#[test]
+fn retired_single_key_opcodes_are_unknown() {
+    check("retired_single_key_opcodes_are_unknown", CASES, |rng| {
+        let op = if rng.next_u64() & 1 == 0 { 0x01 } else { 0x09 };
+        let mut payload = vec![op];
+        payload.extend_from_slice(&bytes(rng, 0..64));
+        let unknown = FrameError::UnknownOpcode(op);
+        assert_eq!(decode_request(&payload), Err(unknown.clone()));
+        assert_eq!(decode_request_ref(&payload), Err(unknown));
+    });
+}
+
 /// Every encodable request survives the wire byte-exactly.
 #[test]
 fn requests_roundtrip() {
     check("requests_roundtrip", CASES, |rng| {
-        let kind = rng.next_below(10) as usize;
+        let kind = rng.next_below(REQUEST_KINDS as u64) as usize;
         let key = rng.next_u64();
         let keys = u64s(rng, 0..512);
         let req = build_request(kind, key, &keys, rng.next_u64() as u32);
@@ -221,7 +236,7 @@ fn responses_roundtrip() {
 #[test]
 fn truncated_requests_always_error() {
     check("truncated_requests_always_error", CASES, |rng| {
-        let kind = rng.next_below(10) as usize;
+        let kind = rng.next_below(REQUEST_KINDS as u64) as usize;
         let key = rng.next_u64();
         let keys = u64s(rng, 0..64);
         let req = build_request(kind, key, &keys, key as u32);
@@ -266,7 +281,7 @@ fn truncated_responses_always_error() {
 #[test]
 fn bit_flips_never_panic() {
     check("bit_flips_never_panic", CASES, |rng| {
-        let kind = rng.next_below(10) as usize;
+        let kind = rng.next_below(REQUEST_KINDS as u64) as usize;
         let key = rng.next_u64();
         let keys = u64s(rng, 0..64);
         let req = build_request(kind, key, &keys, key as u32);
@@ -291,7 +306,7 @@ fn borrowed_decode_equals_owned_on_valid_frames() {
         "borrowed_decode_equals_owned_on_valid_frames",
         CASES,
         |rng| {
-            let kind = rng.next_below(10) as usize;
+            let kind = rng.next_below(REQUEST_KINDS as u64) as usize;
             let key = rng.next_u64();
             let keys = u64s(rng, 0..512);
             let req = build_request(kind, key, &keys, rng.next_u64() as u32);

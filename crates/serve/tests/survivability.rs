@@ -158,6 +158,55 @@ fn connection_cap_refuses_with_retry_hint() {
     server.shutdown();
 }
 
+/// The connection cap is the server's one source of `OVERLOADED`, and
+/// the resilient client waits it out: while another connection holds
+/// the only slot, its write is refused; once that connection closes, the
+/// write lands exactly once.
+#[test]
+fn resilient_client_waits_out_the_connection_cap() {
+    let cfg = ServeConfig {
+        reactors: 1,
+        max_connections: 1,
+        ..base_cfg()
+    };
+    let server = Server::spawn(cfg, runtime(2)).expect("spawn server");
+    let addr = server.addr().to_string();
+
+    let mut held = Client::connect(&addr).expect("first connection");
+    assert!(held.estimate(7).is_ok(), "in-cap connection must serve");
+    let release = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(300));
+        drop(held);
+    });
+
+    let mut client = ResilientClient::new(addr, 11, RetryPolicy::default());
+    let keys: Vec<u64> = (0..256).map(|i| i % 64).collect();
+    let ack = client
+        .update_batch(&keys)
+        .expect("the write lands once the held connection closes");
+    release.join().expect("release thread");
+    assert!(
+        client.stats().sheds_retried >= 1,
+        "the cap never refused the client: {:?}",
+        client.stats()
+    );
+    assert_eq!(ack.applied as usize, keys.len());
+    assert!(!ack.duplicate);
+
+    client.sync().expect("barrier");
+    let mut oracle = vec![0i64; 64];
+    for &k in &keys {
+        oracle[k as usize] += 1;
+    }
+    let all: Vec<u64> = (0..64).collect();
+    let estimates = client.estimate_batch(&all).expect("estimates");
+    assert_eq!(
+        estimates, oracle,
+        "the refused write landed other than once"
+    );
+    server.shutdown();
+}
+
 /// Idle connections past `idle_timeout_ms` are evicted by the reaper;
 /// active connections with the same config keep serving.
 #[cfg(target_os = "linux")]
@@ -287,7 +336,6 @@ fn resilient_client_is_exactly_once_through_chaos() {
         op_deadline: Duration::from_secs(30),
         read_timeout: Duration::from_millis(500),
         max_reconnects: 10_000,
-        retry_sheds: true,
         jitter_seed: 0xDEAD_2016,
     };
     let mut client = ResilientClient::new(proxy.addr().to_string(), 42, retry);

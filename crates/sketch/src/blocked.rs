@@ -11,7 +11,7 @@
 //! One bucket = one cache line holding [`BlockedCountMinG::SLOTS`] cells
 //! (8×`i64` or 16×`i32`). A single pairwise-independent hash picks the
 //! bucket; a second pairwise-independent hash is expanded into `d` *distinct*
-//! in-line slot indexes (see [`derive_slot_mask`]). Update adds `delta` to
+//! in-line slot indexes (see `derive_slot_mask`). Update adds `delta` to
 //! the `d` selected cells, estimate takes their min — both touch exactly one
 //! line, and the in-line add/min are SIMD-vectorized through the same
 //! [`ScanKernel`] dispatch the key scan uses.

@@ -176,7 +176,7 @@ impl<C: Cell> FrequencyEstimator for CountMinG<C> {
     }
 
     /// Batched ingest: hashes are hoisted out of the per-tuple loop and each
-    /// tuple's `w` cells are prefetched [`LOOKAHEAD`] tuples ahead of the
+    /// tuple's `w` cells are prefetched `LOOKAHEAD` tuples ahead of the
     /// read-modify-write, hiding the (cold, random-index) table misses that
     /// dominate single-tuple `update` on sketch sizes past L2.
     ///

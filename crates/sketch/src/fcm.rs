@@ -272,7 +272,7 @@ impl<C: Cell> FrequencyEstimator for FcmG<C> {
 
     /// Batched ingest: tuples are applied strictly in order (the MG
     /// classifier's state is order-sensitive), but each tuple's candidate
-    /// cells are prefetched [`LOOKAHEAD`] tuples ahead, hiding the table
+    /// cells are prefetched `LOOKAHEAD` tuples ahead, hiding the table
     /// misses behind the classify/hash work of the preceding tuples.
     fn update_batch(&mut self, tuples: &[Tuple]) {
         for &(key, _) in tuples.iter().take(LOOKAHEAD) {

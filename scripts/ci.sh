@@ -78,6 +78,11 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+# Public docs must not link private items or name missing ones; a
+# broken intra-doc link fails here rather than rotting in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> §6.2 pipelines: Figure 12/13 shape checks + streaming example"
 # The pipelines run nowhere else outside `cargo test`. `repro` exits 1 on
 # any "— FAIL" shape note (Figure 12's speedup note applies on >= 2
